@@ -41,10 +41,15 @@ type Sample struct {
 	Iterations  int64   `json:"iterations"`
 }
 
-// Benchmark aggregates the samples of one benchmark name across -count
-// repetitions, in input order.
+// Benchmark aggregates the samples of one benchmark across -count
+// repetitions, in input order. A benchmark is identified by its package
+// (the pkg: line in force), its name and its GOMAXPROCS, so same-named
+// benchmarks of two packages, or of two -cpu settings, stay apart.
 type Benchmark struct {
-	Name    string   `json:"name"`
+	Pkg  string `json:"pkg,omitempty"`
+	Name string `json:"name"`
+	// Procs is the -N GOMAXPROCS suffix of the result lines; 0 if absent.
+	Procs   int      `json:"procs,omitempty"`
 	Samples []Sample `json:"samples"`
 	// MedianNs is the median ns/op across samples, the number the
 	// speedup summary and trend tracking key on.
@@ -70,9 +75,11 @@ type ServeLatency struct {
 
 // Report is the archived JSON document.
 type Report struct {
-	Date       string         `json:"date"`
-	Goos       string         `json:"goos,omitempty"`
-	Goarch     string         `json:"goarch,omitempty"`
+	Date   string `json:"date"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	// Pkg is set when every benchmark comes from one package; each
+	// Benchmark carries its own.
 	Pkg        string         `json:"pkg,omitempty"`
 	CPU        string         `json:"cpu,omitempty"`
 	Benchmarks []Benchmark    `json:"benchmarks"`
@@ -236,10 +243,17 @@ func labelKey(labels map[string]string) string {
 //
 //	BenchmarkName/sub-8   	     100	  11309297 ns/op	 5716236 B/op	   50010 allocs/op
 //
-// Header lines (goos:, goarch:, pkg:, cpu:) annotate the report.
+// Header lines (goos:, goarch:, cpu:) annotate the report; a pkg: line
+// names the package of the results that follow it.
 func Parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
-	index := map[string]int{} // name -> position in rep.Benchmarks
+	type key struct {
+		pkg, name string
+		procs     int
+	}
+	index := map[key]int{} // position in rep.Benchmarks
+	pkg := ""
+	pkgs := map[string]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -252,7 +266,7 @@ func Parse(r io.Reader) (*Report, error) {
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -264,7 +278,7 @@ func Parse(r io.Reader) (*Report, error) {
 		if len(fields) < 4 {
 			continue
 		}
-		name := trimProcSuffix(fields[0])
+		name, procs := splitProcSuffix(fields[0])
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			continue
@@ -288,11 +302,13 @@ func Parse(r io.Reader) (*Report, error) {
 		if s.NsPerOp == 0 {
 			continue
 		}
-		pos, ok := index[name]
+		k := key{pkg, name, procs}
+		pos, ok := index[k]
 		if !ok {
 			pos = len(rep.Benchmarks)
-			index[name] = pos
-			rep.Benchmarks = append(rep.Benchmarks, Benchmark{Name: name})
+			index[k] = pos
+			pkgs[pkg] = true
+			rep.Benchmarks = append(rep.Benchmarks, Benchmark{Pkg: pkg, Name: name, Procs: procs})
 		}
 		rep.Benchmarks[pos].Samples = append(rep.Benchmarks[pos].Samples, s)
 	}
@@ -302,20 +318,25 @@ func Parse(r io.Reader) (*Report, error) {
 	for i := range rep.Benchmarks {
 		rep.Benchmarks[i].MedianNs = medianNs(rep.Benchmarks[i].Samples)
 	}
+	if len(pkgs) == 1 {
+		rep.Pkg = rep.Benchmarks[0].Pkg
+	}
 	return rep, nil
 }
 
-// trimProcSuffix drops the trailing -<GOMAXPROCS> the bench runner
-// appends: BenchmarkFoo/workers=4-8 -> BenchmarkFoo/workers=4.
-func trimProcSuffix(name string) string {
+// splitProcSuffix splits off the trailing -<GOMAXPROCS> the bench runner
+// appends: BenchmarkFoo/workers=4-8 -> BenchmarkFoo/workers=4, 8. A name
+// without the suffix comes back whole, with procs 0.
+func splitProcSuffix(name string) (base string, procs int) {
 	i := strings.LastIndex(name, "-")
 	if i < 0 {
-		return name
+		return name, 0
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 0
 	}
-	return name[:i]
+	return name[:i], n
 }
 
 func medianNs(samples []Sample) float64 {
@@ -342,17 +363,23 @@ func Summary(rep *Report) string {
 		workers int
 		ns      float64
 	}
-	families := map[string][]variant{}
-	var order []string
+	// A family is one package's base name at one GOMAXPROCS.
+	type family struct {
+		pkg, base string
+		procs     int
+	}
+	families := map[family][]variant{}
+	var order []family
 	for _, b := range rep.Benchmarks {
 		base, w, ok := splitWorkers(b.Name)
 		if !ok {
 			continue
 		}
-		if _, seen := families[base]; !seen {
-			order = append(order, base)
+		f := family{b.Pkg, base, b.Procs}
+		if _, seen := families[f]; !seen {
+			order = append(order, f)
 		}
-		families[base] = append(families[base], variant{workers: w, ns: b.MedianNs})
+		families[f] = append(families[f], variant{workers: w, ns: b.MedianNs})
 	}
 	var sb strings.Builder
 	sb.WriteString("## Serial vs parallel (median ns/op)\n\n")
@@ -363,8 +390,8 @@ func Summary(rep *Report) string {
 	}
 	sb.WriteString("| Benchmark | Workers | ns/op | Speedup vs serial |\n")
 	sb.WriteString("|---|---:|---:|---:|\n")
-	for _, base := range order {
-		vs := families[base]
+	for _, f := range order {
+		vs := families[f]
 		sort.Slice(vs, func(i, j int) bool { return vs[i].workers < vs[j].workers })
 		var serial float64
 		for _, v := range vs {
@@ -377,7 +404,7 @@ func Summary(rep *Report) string {
 			if serial > 0 && v.ns > 0 {
 				speedup = fmt.Sprintf("%.2fx", serial/v.ns)
 			}
-			fmt.Fprintf(&sb, "| %s | %d | %.0f | %s |\n", base, v.workers, v.ns, speedup)
+			fmt.Fprintf(&sb, "| %s | %d | %.0f | %s |\n", f.base, v.workers, v.ns, speedup)
 		}
 	}
 	sb.WriteString(serveSummary(rep))

@@ -42,8 +42,11 @@ func TestParse(t *testing.T) {
 	}
 
 	w1 := rep.Benchmarks[0]
-	if w1.Name != "BenchmarkSynthesizeWorkers/workers=1" {
-		t.Errorf("first benchmark name = %q (GOMAXPROCS suffix not trimmed?)", w1.Name)
+	if w1.Name != "BenchmarkSynthesizeWorkers/workers=1" || w1.Procs != 8 {
+		t.Errorf("first benchmark = %q procs=%d, want the GOMAXPROCS suffix split off as 8", w1.Name, w1.Procs)
+	}
+	if w1.Pkg != "github.com/guardrail-db/guardrail" {
+		t.Errorf("first benchmark pkg = %q", w1.Pkg)
 	}
 	if len(w1.Samples) != 2 {
 		t.Fatalf("workers=1 has %d samples, want 2", len(w1.Samples))
@@ -213,15 +216,62 @@ func TestServeSummary(t *testing.T) {
 }
 
 func TestTrimProcSuffix(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkFoo-8":           "BenchmarkFoo",
-		"BenchmarkFoo/workers=4-8": "BenchmarkFoo/workers=4",
-		"BenchmarkFoo":             "BenchmarkFoo",
-		"BenchmarkFoo/sub-case":    "BenchmarkFoo/sub-case",
+	cases := []struct {
+		in    string
+		base  string
+		procs int
+	}{
+		{"BenchmarkFoo-8", "BenchmarkFoo", 8},
+		{"BenchmarkFoo/workers=4-8", "BenchmarkFoo/workers=4", 8},
+		{"BenchmarkFoo", "BenchmarkFoo", 0},
+		{"BenchmarkFoo/sub-case", "BenchmarkFoo/sub-case", 0},
 	}
-	for in, want := range cases {
-		if got := trimProcSuffix(in); got != want {
-			t.Errorf("trimProcSuffix(%q) = %q, want %q", in, got, want)
+	for _, c := range cases {
+		if base, procs := splitProcSuffix(c.in); base != c.base || procs != c.procs {
+			t.Errorf("splitProcSuffix(%q) = %q, %d; want %q, %d", c.in, base, procs, c.base, c.procs)
 		}
+	}
+}
+
+// twoPackages is one `go test -bench` transcript over two packages that
+// both define BenchmarkSpanDisabled, the second also at -cpu 1,2.
+const twoPackages = `goos: linux
+goarch: amd64
+pkg: github.com/guardrail-db/guardrail/internal/obs
+BenchmarkSpanDisabled-2   	600000000	         1.8 ns/op
+BenchmarkSpanDisabled-2   	600000000	         2.0 ns/op
+PASS
+ok  	github.com/guardrail-db/guardrail/internal/obs	3.1s
+pkg: github.com/guardrail-db/guardrail/internal/obs/trace
+BenchmarkSpanDisabled     	80000000	        14.5 ns/op
+BenchmarkSpanDisabled-2   	80000000	        14.7 ns/op
+PASS
+ok  	github.com/guardrail-db/guardrail/internal/obs/trace	2.4s
+`
+
+// TestParseKeysByPackageAndProcs: same-named benchmarks of two packages,
+// or at two GOMAXPROCS, are separate records, each with its pkg: line.
+func TestParseKeysByPackageAndProcs(t *testing.T) {
+	rep, err := Parse(strings.NewReader(twoPackages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Benchmark{
+		{Pkg: "github.com/guardrail-db/guardrail/internal/obs", Name: "BenchmarkSpanDisabled", Procs: 2, MedianNs: 1.9},
+		{Pkg: "github.com/guardrail-db/guardrail/internal/obs/trace", Name: "BenchmarkSpanDisabled", Procs: 0, MedianNs: 14.5},
+		{Pkg: "github.com/guardrail-db/guardrail/internal/obs/trace", Name: "BenchmarkSpanDisabled", Procs: 2, MedianNs: 14.7},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("got %d benchmarks, want %d: %+v", len(rep.Benchmarks), len(want), rep.Benchmarks)
+	}
+	for i, w := range want {
+		b := rep.Benchmarks[i]
+		if b.Pkg != w.Pkg || b.Name != w.Name || b.Procs != w.Procs || b.MedianNs != w.MedianNs {
+			t.Errorf("benchmark %d = %s %s procs=%d median=%v, want %s %s procs=%d median=%v",
+				i, b.Pkg, b.Name, b.Procs, b.MedianNs, w.Pkg, w.Name, w.Procs, w.MedianNs)
+		}
+	}
+	if rep.Pkg != "" {
+		t.Errorf("report pkg = %q for a two-package run, want empty", rep.Pkg)
 	}
 }

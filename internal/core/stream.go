@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 
@@ -26,18 +25,17 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 	ssp := g.tr.Start("stream.csv").Str("strategy", g.strategy.String()).Str("engine", g.engine.String())
 	defer ssp.End()
 	rsc := g.tr.Under(ssp)
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	cr.ReuseRecord = true // rec is consumed before the next Read
-	cw := csv.NewWriter(w)
-	defer cw.Flush()
-
-	header, err := cr.Read()
+	cr := dataset.NewCSVReader(r)
+	rec, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("core: reading stream header: %w", err)
 	}
-	if len(header) != schema.NumAttrs() {
-		return nil, fmt.Errorf("core: stream has %d columns, schema has %d", len(header), schema.NumAttrs())
+	if len(rec) != schema.NumAttrs() {
+		return nil, fmt.Errorf("core: stream has %d columns, schema has %d", len(rec), schema.NumAttrs())
+	}
+	header := make([]string, len(rec))
+	for i, h := range rec {
+		header[i] = string(h)
 	}
 	// Map header columns to schema attributes, rejecting duplicates: a
 	// duplicated name passes the width check while another attribute is
@@ -45,6 +43,7 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 	// duplicates rejected, width match + pigeonhole guarantees every
 	// schema attribute is covered.
 	colOf := make([]int, len(header))
+	dicts := make([]*dataset.Dict, len(header))
 	seen := make([]bool, schema.NumAttrs())
 	for i, h := range header {
 		idx := schema.AttrIndex(h)
@@ -56,15 +55,21 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 		}
 		seen[idx] = true
 		colOf[i] = idx
+		dicts[i] = schema.Dict(idx)
 	}
-	if err := cw.Write(header); err != nil {
+	// Missing cells go out empty, as they came in.
+	cw := dataset.NewCSVWriter(w, dicts, "")
+	// The rows before a failure still reach w; the failure is the error
+	// reported, so a flush error on that path adds nothing.
+	defer func() { _ = cw.Flush() }()
+	if err := cw.WriteStrings(header); err != nil {
 		return nil, err
 	}
 
 	stats := &StreamStats{}
 	row := make([]int32, schema.NumAttrs())
 	before := make([]int32, schema.NumAttrs())
-	out := make([]string, len(header))
+	out := make([]int32, len(header))
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -81,10 +86,10 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 			rsp = rsc.Start("stream.row").Int("row", int64(stats.Rows))
 		}
 		for i, v := range rec {
-			if v == "" {
+			if len(v) == 0 {
 				row[colOf[i]] = dataset.Missing
 			} else {
-				row[colOf[i]] = schema.Intern(colOf[i], v)
+				row[colOf[i]] = dicts[i].InternBytes(v)
 			}
 		}
 		copy(before, row)
@@ -99,25 +104,21 @@ func (g *Guard) StreamCSV(r io.Reader, w io.Writer, schema *dataset.Relation) (*
 		if err != nil {
 			return stats, fmt.Errorf("core: row %d: %w", stats.Rows, err)
 		}
-		for i := range rec {
+		for i := range out {
 			c := row[colOf[i]]
 			if c != before[colOf[i]] {
 				stats.Changed++
 				g.metrics.streamChanged.Inc()
 			}
-			out[i] = schema.Dict(colOf[i]).Value(c)
-			if c == dataset.Missing {
-				out[i] = ""
-			}
+			out[i] = c
 		}
-		if err := cw.Write(out); err != nil {
+		if err := cw.WriteCodes(out); err != nil {
 			return stats, err
 		}
 		stats.Rows++
 		g.metrics.streamRows.Inc()
 	}
-	cw.Flush()
-	return stats, cw.Error()
+	return stats, cw.Flush()
 }
 
 // ExplainViolation renders a violation in terms of schema's names, for

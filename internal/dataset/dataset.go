@@ -10,7 +10,6 @@
 package dataset
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"math/rand"
@@ -20,6 +19,9 @@ import (
 // Missing is the code used for a missing (NaN) cell, produced by the coerce
 // error-handling strategy or by CSV cells equal to the empty string.
 const Missing int32 = -1
+
+// missingText is how Value renders the Missing code.
+const missingText = "NaN"
 
 // Dict interns the string values of a single attribute.
 type Dict struct {
@@ -43,6 +45,15 @@ func (d *Dict) Intern(s string) int32 {
 	return c
 }
 
+// InternBytes is Intern for a byte slice. It allocates only when b is a
+// new value.
+func (d *Dict) InternBytes(b []byte) int32 {
+	if c, ok := d.byValue[string(b)]; ok {
+		return c
+	}
+	return d.Intern(string(b))
+}
+
 // Lookup returns the code for s and whether it is present.
 func (d *Dict) Lookup(s string) (int32, bool) {
 	c, ok := d.byValue[s]
@@ -52,7 +63,7 @@ func (d *Dict) Lookup(s string) (int32, bool) {
 // Value returns the string for code c. The Missing code renders as "NaN".
 func (d *Dict) Value(c int32) string {
 	if c == Missing {
-		return "NaN"
+		return missingText
 	}
 	return d.values[c]
 }
@@ -258,15 +269,19 @@ func (r *Relation) Split(frac float64, seed int64) (train, test *Relation) {
 	return r.SelectRows(perm[:k]), r.SelectRows(perm[k:])
 }
 
-// FromCSV reads a relation from CSV with a header row.
+// FromCSV reads a relation from CSV with a header row. Empty cells are
+// Missing.
 func FromCSV(rd io.Reader, name string) (*Relation, error) {
-	cr := csv.NewReader(rd)
-	cr.FieldsPerRecord = -1
+	cr := NewCSVReader(rd)
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
-	rel := New(name, header)
+	attrs := make([]string, len(header))
+	for i, h := range header {
+		attrs[i] = string(h)
+	}
+	rel := New(name, attrs)
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -275,29 +290,35 @@ func FromCSV(rd io.Reader, name string) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading CSV row: %w", err)
 		}
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("dataset: CSV row has %d fields, header has %d", len(rec), len(header))
+		if len(rec) != len(attrs) {
+			return nil, fmt.Errorf("dataset: CSV row has %d fields, header has %d", len(rec), len(attrs))
 		}
-		if err := rel.AppendRow(rec); err != nil {
-			return nil, err
+		for i, v := range rec {
+			c := Missing
+			if len(v) > 0 {
+				c = rel.dicts[i].InternBytes(v)
+			}
+			rel.cols[i] = append(rel.cols[i], c)
 		}
+		rel.nrows++
 	}
 	return rel, nil
 }
 
-// ToCSV writes the relation as CSV with a header row.
+// ToCSV writes the relation as CSV with a header row. Missing cells
+// render as "NaN", as Value renders them.
 func (r *Relation) ToCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(r.attrs); err != nil {
+	cw := NewCSVWriter(w, r.dicts, missingText)
+	if err := cw.WriteStrings(r.attrs); err != nil {
 		return err
 	}
+	row := make([]int32, len(r.attrs))
 	for i := 0; i < r.nrows; i++ {
-		if err := cw.Write(r.RowStrings(i)); err != nil {
+		if err := cw.WriteCodes(r.Row(i, row)); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return cw.Flush()
 }
 
 // String renders a compact summary for debugging.

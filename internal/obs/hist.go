@@ -414,6 +414,11 @@ func (s *HistSnapshot) UnmarshalBinary(data []byte) error {
 			return errors.New("obs: truncated bucket index")
 		}
 		data = data[n:]
+		// Bound the index, or the delta, before any arithmetic: a huge
+		// varint would wrap int to a negative index.
+		if d >= histNumBuckets {
+			return fmt.Errorf("obs: bucket index %d out of range", d)
+		}
 		idx := int(d)
 		if prev >= 0 {
 			if d == 0 {

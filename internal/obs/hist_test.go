@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -291,6 +292,42 @@ func TestHistCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// histWrapRepro once decoded without error: its second bucket's index
+// delta wrapped int to a negative index, and MarshalBinary then rejected
+// the snapshot as out of order.
+const histWrapRepro = "GRHX1\x040\x010\x040\x010\x01\xe9\xe9\xe9\xe9\xe9\xe9\xe9\xe9\xdf\x01\x010\x01"
+
+// TestHistCodecRejectsHugeIndex: a first index or an index delta beyond
+// the layout is rejected, however large the varint.
+func TestHistCodecRejectsHugeIndex(t *testing.T) {
+	header := func(count, nb uint64) []byte {
+		b := []byte(histCodecMagic)
+		for _, v := range []uint64{count, 1, 1, 1, nb} {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	firstHuge := binary.AppendUvarint(header(1, 1), 1<<63)
+	firstHuge = binary.AppendUvarint(firstHuge, 1)
+	deltaHuge := binary.AppendUvarint(header(2, 2), 0)
+	deltaHuge = binary.AppendUvarint(deltaHuge, 1)
+	deltaHuge = binary.AppendUvarint(deltaHuge, math.MaxUint64)
+	deltaHuge = binary.AppendUvarint(deltaHuge, 1)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"repro", []byte(histWrapRepro)},
+		{"first index", firstHuge},
+		{"delta", deltaHuge},
+	} {
+		var s HistSnapshot
+		if err := s.UnmarshalBinary(tc.data); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", tc.name, s)
+		}
+	}
+}
+
 func FuzzHistCodec(f *testing.F) {
 	h := NewHist(2)
 	for _, v := range []int64{1, 33, 4096, histMaxNS + 5} {
@@ -302,6 +339,7 @@ func FuzzHistCodec(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(histCodecMagic))
+	f.Add([]byte(histWrapRepro))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s HistSnapshot
 		if err := s.UnmarshalBinary(data); err != nil {

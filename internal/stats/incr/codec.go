@@ -66,7 +66,9 @@ func (t *Table) UnmarshalBinary(data []byte) error {
 	}
 	data = data[n:]
 	keyLen := int(nv) * 4
-	if uint64(len(data)) < nc*uint64(keyLen+1) {
+	// Each cell takes at least keyLen+1 bytes. Divide rather than
+	// multiply: nc*(keyLen+1) can wrap and pass, and nc then sizes the map.
+	if nc > uint64(len(data))/uint64(keyLen+1) {
 		return errors.New("incr: truncated cells")
 	}
 	cells := make(map[string]int64, nc)

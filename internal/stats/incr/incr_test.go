@@ -2,6 +2,7 @@ package incr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,6 +222,22 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err := tb.UnmarshalBinary(bad); err == nil {
 			t.Fatalf("corrupt blob %q accepted", bad)
 		}
+	}
+}
+
+// TestCodecRejectsWrappedCellCount: a cell count whose byte size wraps
+// uint64 is rejected by the up-front size check, before it can size the
+// cell map.
+func TestCodecRejectsWrappedCellCount(t *testing.T) {
+	blob := []byte(codecMagic)
+	blob = binary.AppendUvarint(blob, 1) // one variable
+	blob = binary.AppendUvarint(blob, 1) // of cardinality 1
+	// 5 bytes per cell: 0x3333333333333334 * 5 wraps to 4.
+	blob = binary.AppendUvarint(blob, 0x3333333333333334)
+	blob = append(blob, 0, 0, 0, 0, 1)
+	var tb Table
+	if err := tb.UnmarshalBinary(blob); err == nil || err.Error() != "incr: truncated cells" {
+		t.Fatalf("err = %v, want incr: truncated cells", err)
 	}
 }
 
