@@ -32,7 +32,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "synthesis worker-pool size; 1 forces the serial pipeline")
 	engine := flag.String("engine", "ast", "guard execution backend for every experiment: ast|compiled")
 	report := flag.String("report", "", "write a JSON run-report (counters + stage timings) to this path")
-	debugAddr := flag.String("debug-addr", "", "serve live expvar metrics, Prometheus /metrics and pprof on this address (e.g. localhost:6060)")
+	debugAddr := flag.String("debug-addr", "", "serve live Prometheus /metrics and pprof on this address (e.g. localhost:6060)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable) to this path")
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -48,7 +48,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer func() { _ = srv.Close() }() // best-effort teardown at process exit
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s/debug/vars\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "debug server listening on http://%s/metrics (profiles on /debug/pprof/)\n", srv.Addr)
 	}
 
 	var tr *trace.Tracer

@@ -8,14 +8,13 @@
 //	guardrail rectify -in dirty.csv -prog constraints.gr -out clean.csv
 //	guardrail show    -in data.csv
 //	guardrail analyze -in data.csv -prog constraints.gr
-//	guardrail lint    -in data.csv -prog constraints.gr
 //	guardrail serve   -addr :8080 -load mydata=data.csv,constraints.gr
 //
-// The static-analysis verbs `lint` and `analyze` use documented exit
-// codes so CI lanes can distinguish outcomes: 0 means the program is
-// clean, 1 means the verb reported findings, 2 means the invocation
-// itself failed (bad flags, unreadable files, parse errors). Both accept
-// -json for machine-readable findings. Other verbs exit 1 on any error.
+// `lint` is an alias of `analyze`. The static-analysis verb uses
+// documented exit codes so CI lanes can distinguish outcomes: 0 means the
+// program is clean, 1 means it reported findings, 2 means the invocation
+// itself failed (bad flags, unreadable files, parse errors). It accepts
+// -json for a machine-readable report. Other verbs exit 1 on any error.
 package main
 
 import (
@@ -33,8 +32,8 @@ import (
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/analysis"
 	"github.com/guardrail-db/guardrail/internal/dsl/compile"
-	"github.com/guardrail-db/guardrail/internal/dsl/verify"
 	"github.com/guardrail-db/guardrail/internal/errgen"
+	"github.com/guardrail-db/guardrail/internal/smt/sat"
 )
 
 // exitCode carries the documented process exit status for the
@@ -89,26 +88,13 @@ func run(args []string) error {
 		return cmdCheck(args[1:], true)
 	case "show":
 		return cmdShow(args[1:])
-	case "analyze":
+	case "analyze", "lint":
 		return cmdAnalyze(args[1:])
-	case "lint":
-		return cmdLint(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
 	default:
 		return usageErr(fmt.Errorf("unknown subcommand %q", args[0]))
 	}
-}
-
-// jsonFinding is the shared machine-readable findings shape of `lint
-// -json` and `analyze -json`.
-type jsonFinding struct {
-	Class    string `json:"class"`
-	Severity string `json:"severity"`
-	Stmt     int    `json:"stmt"`
-	Branch   int    `json:"branch"`
-	Other    int    `json:"other"`
-	Message  string `json:"message"`
 }
 
 func printJSON(v any) error {
@@ -249,105 +235,12 @@ func cmdSynth(args []string) error {
 	} else if err := os.WriteFile(*out, []byte(text+"\n"), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "synthesized %d statements (coverage %.3f, %d DAGs in MEC, %d candidates pruned by verifier, %s total)\n",
+	fmt.Fprintf(os.Stderr, "synthesized %d statements (coverage %.3f, %d DAGs in MEC, %d candidates pruned by analysis, %s total)\n",
 		len(res.Program.Stmts), res.Coverage, res.NumDAGs, res.PrunedPrograms, res.TotalTime().Round(1000))
 	if summary := reg.StageSummary(); summary != "" {
 		fmt.Fprint(os.Stderr, summary)
 	}
 	return finish()
-}
-
-// cmdLint runs the semantic verifier over a constraint file — the offline
-// counterpart of the pruning gate inside the synthesizer. Findings print
-// on stdout (or as one JSON document under -json). Exit status: 0 clean,
-// 1 error-severity findings (any finding under -strict), 2 usage or I/O
-// failure.
-func cmdLint(args []string) error {
-	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
-	in := fs.String("in", "", "CSV the program applies to (required)")
-	prog := fs.String("prog", "", "constraint file to lint (required)")
-	strict := fs.Bool("strict", false, "treat warnings as errors")
-	asJSON := fs.Bool("json", false, "emit findings as one JSON document")
-	if err := fs.Parse(args); err != nil {
-		return usageErr(err)
-	}
-	if *in == "" || *prog == "" {
-		return usageErr(fmt.Errorf("lint: -in and -prog are required"))
-	}
-	rel, err := loadCSV(*in)
-	if err != nil {
-		return usageErr(err)
-	}
-	src, err := os.ReadFile(*prog)
-	if err != nil {
-		return usageErr(err)
-	}
-	// Snapshot dictionary sizes: Parse interns unseen literals, so growth
-	// means the program mentions values that never occur in the dataset —
-	// the CLI-level form of a domain violation.
-	before := make([]int, rel.NumAttrs())
-	for a := range before {
-		before[a] = rel.Cardinality(a)
-	}
-	program, err := dsl.Parse(string(src), rel)
-	if err != nil {
-		return usageErr(err)
-	}
-	var all []jsonFinding
-	nErrors, nWarnings := 0, 0
-	for a := range before {
-		if grown := rel.Cardinality(a) - before[a]; grown > 0 {
-			all = append(all, jsonFinding{
-				Class: "domain-violation", Severity: "warning", Stmt: -1, Branch: -1, Other: -1,
-				Message: fmt.Sprintf("%d literal(s) of %s never occur in %s", grown, rel.Attr(a), *in),
-			})
-			nWarnings++
-		}
-	}
-	for _, f := range verify.Program(program, rel) {
-		all = append(all, jsonFinding{
-			Class: f.Class.String(), Severity: f.Severity.String(),
-			Stmt: f.Stmt, Branch: f.Branch, Other: f.Other, Message: f.Message,
-		})
-		if f.Severity == verify.Error {
-			nErrors++
-		} else {
-			nWarnings++
-		}
-	}
-	if *asJSON {
-		doc := struct {
-			File     string        `json:"file"`
-			Findings []jsonFinding `json:"findings"`
-			Errors   int           `json:"errors"`
-			Warnings int           `json:"warnings"`
-		}{*prog, all, nErrors, nWarnings}
-		if doc.Findings == nil {
-			doc.Findings = []jsonFinding{}
-		}
-		if err := printJSON(doc); err != nil {
-			return usageErr(err)
-		}
-	} else {
-		for _, f := range all {
-			if f.Stmt < 0 {
-				fmt.Printf("%s: %s [%s]: %s\n", *prog, f.Severity, f.Class, f.Message)
-				continue
-			}
-			loc := fmt.Sprintf("stmt %d", f.Stmt)
-			if f.Branch >= 0 {
-				loc += fmt.Sprintf(" branch %d", f.Branch)
-			}
-			fmt.Printf("%s: %s %s [%s]: %s\n", *prog, f.Severity, loc, f.Class, f.Message)
-		}
-	}
-	if nErrors > 0 || (*strict && nWarnings > 0) {
-		return findingsErr("lint: %d errors, %d warnings in %s", nErrors, nWarnings, *prog)
-	}
-	if !*asJSON {
-		fmt.Printf("%s: %d statements verified clean (%d warnings)\n", *prog, len(program.Stmts), nWarnings)
-	}
-	return nil
 }
 
 func cmdCheck(args []string, rectify bool) error {
@@ -430,12 +323,14 @@ func cmdCheck(args []string, rectify bool) error {
 	return finish()
 }
 
-// cmdAnalyze runs the semantic analysis passes (internal/dsl/analysis)
-// over a constraint file: dead branches, exhaustive guards, statement
-// subsumption, cross-statement contradictions, the program's semantic
-// fingerprint, and what minimization could remove. Exit status: 0 clean,
-// 1 error-severity findings (any warning-or-worse finding under
-// -strict), 2 usage or I/O failure.
+// cmdAnalyze runs the program diagnostics (internal/dsl/analysis) over a
+// constraint file — the offline counterpart of the synthesizer's pruning
+// gate — and serves both `analyze` and its alias `lint`: dead branches,
+// contradictions, exhaustive guards, statement subsumption, cycles,
+// literals outside the dataset, the program's semantic fingerprint, and
+// what minimization could remove. Exit status: 0 clean, 1 error-severity
+// findings (any warning-or-worse finding under -strict), 2 usage or I/O
+// failure.
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
 	in := fs.String("in", "", "CSV the program was synthesized from (required)")
@@ -456,14 +351,27 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return usageErr(err)
 	}
+	// Snapshot dictionary sizes: Parse interns unseen literals, so growth
+	// means the program mentions values that never occur in the dataset.
+	before := sat.DomainsOf(rel)
 	program, err := dsl.Parse(string(src), rel)
 	if err != nil {
 		return usageErr(err)
 	}
+	findings := []analysis.Finding{} // -json prints [] for a clean program
+	for a, card := range before {
+		if grown := rel.Cardinality(a) - card; grown > 0 {
+			findings = append(findings, analysis.Finding{
+				Class: analysis.DomainViolation, Severity: analysis.Warning, Stmt: -1, Branch: -1, Other: -1,
+				Message: fmt.Sprintf("%d literal(s) of %s never occur in %s", grown, rel.Attr(a), *in),
+			})
+		}
+	}
 	rpt := analysis.Program(program, rel)
+	findings = append(findings, rpt.Findings...)
 	st := dsl.Analyze(program)
 	nErrors, nWarnings := 0, 0
-	for _, f := range rpt.Findings {
+	for _, f := range findings {
 		switch f.Severity {
 		case analysis.Error:
 			nErrors++
@@ -473,31 +381,25 @@ func cmdAnalyze(args []string) error {
 	}
 	if *asJSON {
 		doc := struct {
-			File            string        `json:"file"`
-			Findings        []jsonFinding `json:"findings"`
-			Errors          int           `json:"errors"`
-			Warnings        int           `json:"warnings"`
-			Statements      int           `json:"statements"`
-			Branches        int           `json:"branches"`
-			Coverage        float64       `json:"coverage"`
-			Fingerprint     string        `json:"fingerprint"`
-			SolverCalls     int64         `json:"solver_calls"`
-			BranchesRemoved int           `json:"branches_removable"`
-			StmtsRemoved    int           `json:"stmts_removable"`
-			MinimizeProved  bool          `json:"minimize_proved"`
+			File            string             `json:"file"`
+			Findings        []analysis.Finding `json:"findings"`
+			Errors          int                `json:"errors"`
+			Warnings        int                `json:"warnings"`
+			Statements      int                `json:"statements"`
+			Branches        int                `json:"branches"`
+			Coverage        float64            `json:"coverage"`
+			Fingerprint     string             `json:"fingerprint"`
+			SolverCalls     int64              `json:"solver_calls"`
+			BranchesRemoved int                `json:"branches_removable"`
+			StmtsRemoved    int                `json:"stmts_removable"`
+			MinimizeProved  bool               `json:"minimize_proved"`
 		}{
-			File: *prog, Findings: []jsonFinding{}, Errors: nErrors, Warnings: nWarnings,
+			File: *prog, Findings: findings, Errors: nErrors, Warnings: nWarnings,
 			Statements: len(program.Stmts), Branches: st.Branches,
 			Coverage:    dsl.Coverage(program, rel),
 			Fingerprint: fmt.Sprintf("%016x", rpt.Fingerprint), SolverCalls: rpt.SolverCalls,
 			BranchesRemoved: rpt.BranchesRemoved, StmtsRemoved: rpt.StmtsRemoved,
 			MinimizeProved: rpt.MinimizeProved,
-		}
-		for _, f := range rpt.Findings {
-			doc.Findings = append(doc.Findings, jsonFinding{
-				Class: f.Class.String(), Severity: f.Severity.String(),
-				Stmt: f.Stmt, Branch: f.Branch, Other: f.Other, Message: f.Message,
-			})
 		}
 		if err := printJSON(doc); err != nil {
 			return usageErr(err)
@@ -505,7 +407,7 @@ func cmdAnalyze(args []string) error {
 	} else {
 		fmt.Printf("%s: %d statements, %d branches, coverage %.3f, fingerprint %016x\n",
 			*prog, len(program.Stmts), st.Branches, dsl.Coverage(program, rel), rpt.Fingerprint)
-		for _, f := range rpt.Findings {
+		for _, f := range findings {
 			fmt.Printf("%s: %s\n", *prog, f)
 		}
 		if rpt.BranchesRemoved > 0 || rpt.StmtsRemoved > 0 {
@@ -517,7 +419,7 @@ func cmdAnalyze(args []string) error {
 				*prog, rpt.BranchesRemoved, rpt.StmtsRemoved, proof)
 		}
 		fmt.Printf("%s: %d findings (%d errors, %d warnings), %d solver calls\n",
-			*prog, len(rpt.Findings), nErrors, nWarnings, rpt.SolverCalls)
+			*prog, len(findings), nErrors, nWarnings, rpt.SolverCalls)
 	}
 	if nErrors > 0 || (*strict && nWarnings > 0) {
 		return findingsErr("analyze: %d errors, %d warnings in %s", nErrors, nWarnings, *prog)

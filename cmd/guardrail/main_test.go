@@ -183,8 +183,7 @@ func TestExitCodes(t *testing.T) {
 		if got := codeOf(run([]string{"analyze", "-in", dataCross, "-prog", progCross})); got != 1 {
 			t.Errorf("analyze with error findings: exit code %d, want 1", got)
 		}
-		// A shadowed branch is only a warning for analyze: clean exit
-		// unless -strict.
+		// The contradictory branch is an error, so -strict exits 1 too.
 		if got := codeOf(run([]string{"analyze", "-in", dataBad, "-prog", progBad, "-strict"})); got != 1 {
 			t.Errorf("analyze -strict with warnings: exit code %d, want 1", got)
 		}
@@ -224,10 +223,10 @@ func TestLintJSON(t *testing.T) {
 // fingerprint, and the minimization summary.
 func TestAnalyzeJSON(t *testing.T) {
 	data, prog := writeLintFixture(t,
-		"GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\n  IF a = \"0\" THEN b <- \"1\";\n")
+		"GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\n  IF a = \"0\" THEN b <- \"0\";\n")
 	out := captureStdout(t, func() {
 		if codeOf(run([]string{"analyze", "-in", data, "-prog", prog, "-json"})) != 0 {
-			t.Error("shadowed branch is warning-severity; analyze -json should exit 0")
+			t.Error("duplicate branch is warning-severity; analyze -json should exit 0")
 		}
 	})
 	var doc struct {
@@ -253,6 +252,54 @@ func TestAnalyzeJSON(t *testing.T) {
 		t.Errorf("minimization summary wrong: %+v", doc)
 	}
 }
+
+// TestLintIsAnalyzeAlias: lint prints exactly analyze's report and exits
+// with the same status, plain, under -json and under -strict.
+func TestLintIsAnalyzeAlias(t *testing.T) {
+	for _, fx := range []struct{ name, src string }{
+		{"clean", "GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\n"},
+		{"contradictory", "GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\n  IF a = \"0\" THEN b <- \"1\";\n"},
+		{"duplicate", "GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\n  IF a = \"0\" THEN b <- \"0\";\n"},
+		{"cross-statement", "GIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"0\";\nGIVEN a ON b HAVING\n  IF a = \"0\" THEN b <- \"1\";\n"},
+	} {
+		data, prog := writeLintFixture(t, fx.src)
+		for _, flags := range [][]string{nil, {"-json"}, {"-strict"}} {
+			invoke := func(verb string) (string, int) {
+				var code int
+				out := captureStdout(t, func() {
+					code = codeOf(run(append([]string{verb, "-in", data, "-prog", prog}, flags...)))
+				})
+				return out, code
+			}
+			lintOut, lintCode := invoke("lint")
+			anOut, anCode := invoke("analyze")
+			if lintOut != anOut || lintCode != anCode {
+				t.Errorf("%s %v: lint (exit %d)\n%s\ndiffers from analyze (exit %d)\n%s",
+					fx.name, flags, lintCode, lintOut, anCode, anOut)
+			}
+		}
+	}
+}
+
+// TestAnalyzeOutOfDataLiteral: a literal the dataset never produced is
+// interned by Parse, so it is caught by the dictionary-growth check before
+// analysis — a warning, not an error.
+func TestAnalyzeOutOfDataLiteral(t *testing.T) {
+	data, prog := writeLintFixture(t, "GIVEN a ON b HAVING\n  IF a = \"7\" THEN b <- \"0\";\n")
+	for _, verb := range []string{"analyze", "lint"} {
+		var code int
+		out := captureStdout(t, func() {
+			code = codeOf(run([]string{verb, "-in", data, "-prog", prog}))
+		})
+		if code != 0 {
+			t.Errorf("%s: exit code %d, want 0 (warning only)", verb, code)
+		}
+		if want := "warning [domain-violation]: 1 literal(s) of a never occur"; !strings.Contains(out, want) {
+			t.Errorf("%s output missing %q:\n%s", verb, want, out)
+		}
+	}
+}
+
 func captureStdout(t *testing.T, f func()) string {
 	t.Helper()
 	old := os.Stdout

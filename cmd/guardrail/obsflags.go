@@ -12,8 +12,7 @@ import (
 
 // obsFlags carries the observability flags shared by the pipeline
 // subcommands: -report writes the JSON run-report, -debug-addr serves
-// live expvar metrics, Prometheus /metrics and pprof profiles while the
-// command runs, and -trace records a hierarchical span tree and exports
+// live Prometheus /metrics and pprof profiles while the command runs, and -trace records a hierarchical span tree and exports
 // it as a Chrome trace-event file (loadable in Perfetto / chrome://tracing).
 type obsFlags struct {
 	report    *string
@@ -24,7 +23,7 @@ type obsFlags struct {
 func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	return &obsFlags{
 		report:    fs.String("report", "", "write a JSON run-report (counters + stage timings) to this path"),
-		debugAddr: fs.String("debug-addr", "", "serve live expvar metrics, Prometheus /metrics and pprof on this address (e.g. localhost:6060)"),
+		debugAddr: fs.String("debug-addr", "", "serve live Prometheus /metrics and pprof on this address (e.g. localhost:6060)"),
 		trace:     fs.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable) to this path"),
 	}
 }
@@ -50,7 +49,7 @@ func (o *obsFlags) start(command string, workers int) (*obs.Registry, *trace.Tra
 			return nil, nil, nil, err
 		}
 		srv = s
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s/debug/vars (metrics on /metrics)\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "debug server listening on http://%s/metrics (profiles on /debug/pprof/)\n", srv.Addr)
 	}
 	finish := func() error {
 		if srv != nil {

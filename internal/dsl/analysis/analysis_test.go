@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/guardrail-db/guardrail/internal/dataset"
@@ -40,7 +42,7 @@ func TestDeadBranchUnsatAndShadow(t *testing.T) {
 		Given: []int{0, 1}, On: 2,
 		Branches: []dsl.Branch{
 			{Cond: cond(0, 0), Value: 0},
-			{Cond: cond(0, 0, 1, 1), Value: 1}, // shadowed by branch 0
+			{Cond: cond(0, 0, 1, 1), Value: 0}, // shadowed by branch 0
 			{Cond: cond(0, 5), Value: 0},       // literal outside dom(a)={a0,a1}
 		},
 	}}}
@@ -55,8 +57,8 @@ func TestDeadBranchUnsatAndShadow(t *testing.T) {
 	}
 }
 
-// TestUnionShadowing: the DNF-level verdict verify's pairwise check cannot
-// reach — a guard dead only because the union of earlier guards is
+// TestUnionShadowing: the DNF-level verdict a pairwise implication check
+// cannot reach — a guard dead only because the union of earlier guards is
 // exhaustive.
 func TestUnionShadowing(t *testing.T) {
 	p := &dsl.Program{Stmts: []dsl.Statement{{
@@ -271,5 +273,250 @@ func TestReportFingerprintMatchesCanon(t *testing.T) {
 	}
 	if Program(nil, nil).Fingerprint != 0 {
 		t.Error("nil program should have the empty fingerprint")
+	}
+}
+
+// fourRel: attributes a, b, c, d, each with the values "0", "1", "2".
+func fourRel() *dataset.Relation {
+	rel := dataset.New("t", []string{"a", "b", "c", "d"})
+	for _, v := range []string{"0", "1", "2"} {
+		rel.AppendRow([]string{v, v, v, v})
+	}
+	return rel
+}
+
+// br builds a branch assigning val under the (attr, value) pairs kv.
+func br(val int32, kv ...int) dsl.Branch { return dsl.Branch{Cond: cond(kv...), Value: val} }
+
+func TestDiagnostics(t *testing.T) {
+	cases := []struct {
+		name      string
+		prog      *dsl.Program
+		wantClass Class
+		wantSev   Severity
+		// wantStmt/wantBranch anchor the first finding of wantClass.
+		wantStmt, wantBranch int
+	}{
+		{
+			name: "contradiction_equal_guards",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 0), br(1, 0, 0)}, // same guard, different value
+			}}},
+			wantClass: Contradiction, wantSev: Error, wantStmt: 0, wantBranch: 1,
+		},
+		{
+			name: "contradiction_narrower",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0, 2}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 0), br(1, 0, 0, 2, 1)}, // implies a=0, different value
+			}}},
+			wantClass: Contradiction, wantSev: Error, wantStmt: 0, wantBranch: 1,
+		},
+		{
+			name: "dead-branch_duplicate",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 0), br(0, 0, 0)},
+			}}},
+			wantClass: DeadBranch, wantSev: Warning, wantStmt: 0, wantBranch: 1,
+		},
+		{
+			name: "dead-branch_unsatisfiable",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 0, 0, 1), br(1, 0, 2)}, // a=0 AND a=1
+			}}},
+			wantClass: DeadBranch, wantSev: Error, wantStmt: 0, wantBranch: 0,
+		},
+		{
+			name: "self-dependency_given",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0, 1}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 0)},
+			}}},
+			wantClass: SelfDependency, wantSev: Error, wantStmt: 0, wantBranch: -1,
+		},
+		{
+			name: "self-dependency_condition",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(0, 1, 2)}, // IF b=2 THEN b<-0
+			}}},
+			wantClass: SelfDependency, wantSev: Error, wantStmt: 0, wantBranch: 0,
+		},
+		{
+			name: "cycle_two_statements",
+			prog: &dsl.Program{Stmts: []dsl.Statement{
+				{Given: []int{0}, On: 1, Branches: []dsl.Branch{br(0, 0, 0)}},
+				{Given: []int{1}, On: 0, Branches: []dsl.Branch{br(0, 1, 0)}},
+			}},
+			wantClass: Cycle, wantSev: Warning, wantStmt: 0, wantBranch: -1,
+		},
+		{
+			name: "domain-violation_then",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(9, 0, 0)}, // THEN b <- code 9, card 3
+			}}},
+			wantClass: DomainViolation, wantSev: Error, wantStmt: 0, wantBranch: 0,
+		},
+		{
+			name: "domain-violation_if",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 77)},
+			}}},
+			wantClass: DomainViolation, wantSev: Error, wantStmt: 0, wantBranch: 0,
+		},
+		{
+			name:      "dead-statement_no_branches",
+			prog:      &dsl.Program{Stmts: []dsl.Statement{{Given: []int{0}, On: 1}}},
+			wantClass: DeadStatement, wantSev: Error, wantStmt: 0, wantBranch: -1,
+		},
+		{
+			name: "dead-statement_all_dead",
+			prog: &dsl.Program{Stmts: []dsl.Statement{{
+				Given: []int{0}, On: 1,
+				Branches: []dsl.Branch{br(0, 0, 0, 0, 1), br(1, 0, 2, 0, 1)}, // both unsatisfiable
+			}}},
+			wantClass: DeadStatement, wantSev: Error, wantStmt: 0, wantBranch: -1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := Findings(tc.prog, fourRel())
+			var hit *Finding
+			for i := range fs {
+				if fs[i].Class == tc.wantClass {
+					hit = &fs[i]
+					break
+				}
+			}
+			if hit == nil {
+				t.Fatalf("no %v finding; got %v", tc.wantClass, fs)
+			}
+			if hit.Severity != tc.wantSev {
+				t.Errorf("severity = %v, want %v (%s)", hit.Severity, tc.wantSev, hit)
+			}
+			if hit.Stmt != tc.wantStmt || hit.Branch != tc.wantBranch {
+				t.Errorf("location = stmt %d branch %d, want stmt %d branch %d (%s)",
+					hit.Stmt, hit.Branch, tc.wantStmt, tc.wantBranch, hit)
+			}
+			if hit.Message == "" {
+				t.Error("finding has empty message")
+			}
+		})
+	}
+}
+
+// TestCleanProgramHasNoDefects: a well-formed program draws nothing above
+// Info (its first statement's guards are exhaustive over dom(a)).
+func TestCleanProgramHasNoDefects(t *testing.T) {
+	prog := &dsl.Program{Stmts: []dsl.Statement{
+		{Given: []int{0}, On: 1, Branches: []dsl.Branch{br(0, 0, 0), br(1, 0, 1), br(2, 0, 2)}},
+		{Given: []int{1, 2}, On: 3, Branches: []dsl.Branch{br(0, 1, 0, 2, 0), br(1, 1, 1, 2, 1)}},
+	}}
+	for _, f := range Findings(prog, fourRel()) {
+		if f.Severity > Info {
+			t.Errorf("clean program produced %s", f)
+		}
+	}
+}
+
+func TestFindingsUseSurfaceNames(t *testing.T) {
+	prog := &dsl.Program{Stmts: []dsl.Statement{{
+		Given: []int{0}, On: 1,
+		Branches: []dsl.Branch{br(0, 0, 0), br(1, 0, 0)},
+	}}}
+	var joined strings.Builder
+	for _, f := range Findings(prog, fourRel()) {
+		joined.WriteString(f.String() + "\n")
+	}
+	for _, want := range []string{"IF a =", "b <-", "[contradiction]"} {
+		if !strings.Contains(joined.String(), want) {
+			t.Errorf("rendered findings missing %q:\n%s", want, joined.String())
+		}
+	}
+}
+
+func TestNilRelFallsBackToPositionalNames(t *testing.T) {
+	prog := &dsl.Program{Stmts: []dsl.Statement{{
+		Given: []int{0}, On: 1,
+		Branches: []dsl.Branch{br(0, 0, 0), br(1, 0, 0)},
+	}}}
+	fs := Findings(prog, nil)
+	if !HasErrors(fs) {
+		t.Fatalf("contradiction not found without rel: %v", fs)
+	}
+	found := false
+	for _, f := range fs {
+		if strings.Contains(f.Message, "attr#") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("expected positional attr names in %v", fs)
+	}
+}
+
+func TestHasErrors(t *testing.T) {
+	if HasErrors(nil) {
+		t.Error("empty findings should have no errors")
+	}
+	if HasErrors([]Finding{{Severity: Info}, {Severity: Warning}}) {
+		t.Error("warnings alone are not errors")
+	}
+	if !HasErrors([]Finding{{Severity: Warning}, {Severity: Error}}) {
+		t.Error("error finding not detected")
+	}
+}
+
+// TestThreeStatementCycle exercises cycle detection beyond the pairwise case.
+func TestThreeStatementCycle(t *testing.T) {
+	prog := &dsl.Program{Stmts: []dsl.Statement{
+		{Given: []int{0}, On: 1, Branches: []dsl.Branch{br(0, 0, 0)}},
+		{Given: []int{1}, On: 2, Branches: []dsl.Branch{br(0, 1, 0)}},
+		{Given: []int{2}, On: 0, Branches: []dsl.Branch{br(0, 2, 0)}},
+	}}
+	fs := Findings(prog, fourRel())
+	cycles := 0
+	for _, f := range fs {
+		if f.Class == Cycle {
+			cycles++
+			if !strings.Contains(f.Message, "a -> b -> c -> a") {
+				t.Errorf("unexpected cycle chain: %s", f.Message)
+			}
+		}
+	}
+	if cycles != 1 {
+		t.Fatalf("want exactly 1 cycle finding, got %d: %v", cycles, fs)
+	}
+}
+
+// TestAcyclicChainHasNoCycleFinding: a -> b -> c is a chain, not a cycle.
+func TestAcyclicChainHasNoCycleFinding(t *testing.T) {
+	prog := &dsl.Program{Stmts: []dsl.Statement{
+		{Given: []int{0}, On: 1, Branches: []dsl.Branch{br(0, 0, 0)}},
+		{Given: []int{1}, On: 2, Branches: []dsl.Branch{br(0, 1, 0)}},
+	}}
+	for _, f := range Findings(prog, fourRel()) {
+		if f.Class == Cycle {
+			t.Fatalf("chain flagged as cycle: %s", f)
+		}
+	}
+}
+
+// TestFindingsMatchReport: the findings entry point reports exactly the
+// full report's findings.
+func TestFindingsMatchReport(t *testing.T) {
+	p := &dsl.Program{Stmts: []dsl.Statement{
+		{Given: []int{0}, On: 2, Branches: []dsl.Branch{br(0, 0, 0), br(1, 0, 0)}},
+		{Given: []int{0}, On: 2, Branches: []dsl.Branch{br(1, 0, 0)}},
+		{Given: []int{2}, On: 0, Branches: []dsl.Branch{br(0, 2, 0)}},
+	}}
+	got, want := Findings(p, testRel()), Program(p, testRel()).Findings
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Findings = %v\nReport.Findings = %v", got, want)
 	}
 }

@@ -114,3 +114,59 @@ func FuzzAnalysis(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFindings decodes arbitrary bytes into a program whose attribute
+// indices and literal codes stray outside the schema, and asserts the
+// diagnostic passes never panic, anchor every finding inside the program,
+// and never leave a message empty — with and without a relation.
+func FuzzFindings(f *testing.F) {
+	f.Add([]byte{1, 1, 0, 1, 1, 0, 0})
+	f.Add([]byte{2, 1, 0, 1, 2, 0, 0, 1, 0, 0, 1, 1, 1, 0, 2, 1, 1, 0})
+	f.Add([]byte{0})
+	f.Add([]byte{3, 0, 9, 0, 200, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	rel := dataset.New("t", []string{"a", "b", "c", "d"})
+	rel.AppendRow([]string{"0", "0", "0", "0"})
+	rel.AppendRow([]string{"1", "1", "1", "1"})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		i := 0
+		next := func() int {
+			if i >= len(data) {
+				return 0
+			}
+			i++
+			return int(data[i-1])
+		}
+		// Attributes range over [-1, 4] and literals over [-2, 2]: one
+		// past each end of the 4-attribute, 2-value schema.
+		prog := &dsl.Program{}
+		for s, nStmts := 0, next()%5; s < nStmts; s++ {
+			var st dsl.Statement
+			for g, nGiven := 0, next()%4; g < nGiven; g++ {
+				st.Given = append(st.Given, next()%6-1)
+			}
+			st.On = next()%6 - 1
+			for b, nBranches := 0, next()%5; b < nBranches; b++ {
+				var br dsl.Branch
+				for a, nAtoms := 0, next()%4; a < nAtoms; a++ {
+					br.Cond = append(br.Cond, dsl.Pred{Attr: next()%6 - 1, Value: int32(next()%5 - 2)})
+				}
+				br.Value = int32(next()%5 - 2)
+				st.Branches = append(st.Branches, br)
+			}
+			prog.Stmts = append(prog.Stmts, st)
+		}
+		for _, r := range []*dataset.Relation{rel, nil} {
+			for _, fd := range Findings(prog, r) {
+				if fd.Stmt < 0 || fd.Stmt >= len(prog.Stmts) {
+					t.Fatalf("finding outside program: %+v (program has %d stmts)", fd, len(prog.Stmts))
+				}
+				if fd.Branch < -1 || fd.Branch >= len(prog.Stmts[fd.Stmt].Branches) {
+					t.Fatalf("finding outside statement: %+v", fd)
+				}
+				if fd.Message == "" {
+					t.Fatalf("empty message: %+v", fd)
+				}
+			}
+		}
+	})
+}

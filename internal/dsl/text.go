@@ -49,7 +49,7 @@ func FormatStatement(b *strings.Builder, s Statement, rel *dataset.Relation) {
 
 // AttrName resolves attribute index a through rel, falling back to a
 // positional placeholder when rel is nil (tooling over schema-less
-// programs, e.g. the verifier's unit tests).
+// programs, e.g. the analyzer's unit tests).
 func AttrName(a int, rel *dataset.Relation) string {
 	if rel == nil || a < 0 || a >= rel.NumAttrs() {
 		return fmt.Sprintf("attr#%d", a)

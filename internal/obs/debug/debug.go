@@ -1,6 +1,6 @@
-// Package debug serves live observability over HTTP: the process expvar
-// page plus net/http/pprof profiles, and the guardrail metrics registry
-// published as an expvar variable. It exists as its own package (rather
+// Package debug serves live observability over HTTP: the guardrail metrics
+// registry as Prometheus text on /metrics, plus net/http/pprof profiles.
+// It exists as its own package (rather
 // than inside obs) so the single `go` statement that runs the HTTP server
 // is confined to one vetguard-exempt leaf — the rest of the pipeline
 // still routes all concurrency through internal/par.
@@ -8,7 +8,6 @@ package debug
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -21,28 +20,11 @@ import (
 	"github.com/guardrail-db/guardrail/internal/obs"
 )
 
-// published holds the registry the expvar variable reads from.
-// expvar.Publish panics on duplicate names, so the Publish call itself is
-// once-guarded while the registry pointer stays swappable: tests (and a
-// CLI that serves twice) each see their latest registry.
+// published holds the registry /metrics renders. Serve swaps it, so
+// tests (and a CLI that serves twice) each see their latest registry.
 var published struct {
-	once sync.Once
-	mu   sync.Mutex
-	reg  *obs.Registry
-}
-
-func publish(reg *obs.Registry) {
-	published.mu.Lock()
-	published.reg = reg
-	published.mu.Unlock()
-	published.once.Do(func() {
-		expvar.Publish("guardrail", expvar.Func(func() any {
-			published.mu.Lock()
-			r := published.reg
-			published.mu.Unlock()
-			return r.Snapshot()
-		}))
-	})
+	mu  sync.Mutex
+	reg *obs.Registry
 }
 
 // extras holds caller-registered handlers (e.g. the serve daemon's
@@ -57,7 +39,7 @@ var extras struct {
 }
 
 // Handle registers handler under pattern on every debug server, current
-// and future. Built-in routes (/metrics, /debug/vars, /debug/pprof/*)
+// and future. Built-in routes (/metrics, /debug/pprof/*)
 // take precedence over extras.
 func Handle(pattern string, handler http.Handler) {
 	extras.mu.Lock()
@@ -99,18 +81,18 @@ type Server struct {
 	ln  net.Listener
 }
 
-// Serve publishes reg under the "guardrail" expvar name and starts an
-// HTTP server on addr exposing /debug/vars, /debug/pprof/*, and a
-// Prometheus-format /metrics endpoint. It uses a
+// Serve publishes reg and starts an HTTP server on addr exposing a
+// Prometheus-format /metrics endpoint and /debug/pprof/*. It uses a
 // private mux so importing net/http/pprof-style handlers never pollutes
 // http.DefaultServeMux. The listener is bound synchronously — a bad addr
 // fails here, not in the background goroutine.
 func Serve(addr string, reg *obs.Registry) (*Server, error) {
-	publish(reg)
+	published.mu.Lock()
+	published.reg = reg
+	published.mu.Unlock()
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", extrasHandler)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", metricsHandler)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -139,7 +121,7 @@ func (s *Server) serve() {
 }
 
 // closeTimeout bounds how long Close waits for in-flight requests. Debug
-// requests are short (a /metrics scrape, an expvar read) — anything still
+// requests are short (a /metrics scrape) — anything still
 // running after this is a stuck pprof profile and gets force-closed.
 const closeTimeout = 2 * time.Second
 

@@ -1,7 +1,6 @@
 package debug
 
 import (
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -30,9 +29,9 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestServeExpvar: /debug/vars carries the published registry snapshot
-// and reflects live updates.
-func TestServeExpvar(t *testing.T) {
+// TestMetricsLive: /metrics reflects a later increment on the next
+// scrape.
+func TestMetricsLive(t *testing.T) {
 	reg := obs.New()
 	reg.Counter("guard.raise.rows_checked").Add(7)
 	s, err := Serve("127.0.0.1:0", reg)
@@ -45,28 +44,12 @@ func TestServeExpvar(t *testing.T) {
 		}
 	}()
 
-	code, body := get(t, "http://"+s.Addr+"/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d\n%s", code, body)
-	}
-	var vars struct {
-		Guardrail obs.Snapshot `json:"guardrail"`
-	}
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatalf("expvar output does not parse: %v\n%s", err, body)
-	}
-	if vars.Guardrail.Counters["guard.raise.rows_checked"] != 7 {
-		t.Errorf("counters = %v", vars.Guardrail.Counters)
-	}
-
-	// Live: a later increment is visible on the next scrape.
-	reg.Counter("guard.raise.rows_checked").Add(3)
-	_, body = get(t, "http://"+s.Addr+"/debug/vars")
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars.Guardrail.Counters["guard.raise.rows_checked"] != 10 {
-		t.Errorf("live counters = %v, want 10", vars.Guardrail.Counters)
+	for _, want := range []string{"guardrail_guard_raise_rows_checked 7", "guardrail_guard_raise_rows_checked 10"} {
+		code, body := get(t, "http://"+s.Addr+"/metrics")
+		if code != http.StatusOK || !strings.Contains(string(body), want+"\n") {
+			t.Errorf("status %d, want sample %q:\n%s", code, want, body)
+		}
+		reg.Counter("guard.raise.rows_checked").Add(3)
 	}
 }
 
@@ -92,8 +75,8 @@ func TestServePprof(t *testing.T) {
 	}
 }
 
-// TestServeTwice: publishing is idempotent (expvar.Publish panics on a
-// duplicate name if unguarded) and the latest registry wins.
+// TestServeTwice: serving again publishes the latest registry on
+// /metrics.
 func TestServeTwice(t *testing.T) {
 	reg2 := obs.New()
 	reg2.Counter("second").Inc()
@@ -102,8 +85,8 @@ func TestServeTwice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serve #%d: %v", i, err)
 		}
-		_, body := get(t, "http://"+s.Addr+"/debug/vars")
-		if i == 1 && !strings.Contains(string(body), "second") {
+		_, body := get(t, "http://"+s.Addr+"/metrics")
+		if i == 1 && !strings.Contains(string(body), "guardrail_second 1") {
 			t.Errorf("latest registry not published:\n%s", body)
 		}
 		if err := s.Close(); err != nil {

@@ -1,7 +1,7 @@
 // Package obs is the stdlib-only observability layer of the pipeline: an
 // atomic metrics registry (counters, gauges, bounded histograms with
 // quantile snapshots) plus lightweight stage timers, a deterministic JSON
-// run-report, and — in the debug subpackage — an expvar/pprof HTTP server.
+// run-report, and — in the debug subpackage — a /metrics and pprof HTTP server.
 //
 // Every handle is nil-safe: a nil *Registry hands out nil *Counter,
 // *Gauge, and *Histogram values whose methods are allocation-free no-ops,

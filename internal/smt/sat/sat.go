@@ -1,5 +1,5 @@
 // Package sat is the satisfiability core shared by the OptSMT baseline's
-// problem encoding and the DSL program verifier. Guardrail conditions are
+// problem encoding and the DSL program analyzer. Guardrail conditions are
 // conjunctions of equality atoms over categorical attributes, so the full
 // decision procedure is tractable: a conjunction is satisfiable iff no
 // attribute is bound to two different literals, and implication between

@@ -9,7 +9,6 @@ import (
 	"github.com/guardrail-db/guardrail/internal/dataset"
 	"github.com/guardrail-db/guardrail/internal/dsl"
 	"github.com/guardrail-db/guardrail/internal/dsl/analysis"
-	"github.com/guardrail-db/guardrail/internal/dsl/verify"
 	"github.com/guardrail-db/guardrail/internal/graph"
 	"github.com/guardrail-db/guardrail/internal/obs"
 	"github.com/guardrail-db/guardrail/internal/obs/trace"
@@ -116,9 +115,9 @@ type Result struct {
 	FillTime  time.Duration // sketch filling + selection
 	// CacheHits/CacheMisses report statement-cache effectiveness.
 	CacheHits, CacheMisses int
-	// PrunedPrograms counts candidate programs the semantic verifier
-	// rejected before coverage scoring (contradictory, dead, or
-	// domain-violating fills).
+	// PrunedPrograms counts candidate programs with an error-severity
+	// analysis.Findings diagnostic, rejected before coverage scoring
+	// (contradictory, dead, or domain-violating fills).
 	PrunedPrograms int
 	// DedupedPrograms counts candidates skipped because an earlier
 	// candidate had the same canonical semantic form.
@@ -237,7 +236,8 @@ func Synthesize(rel *dataset.Relation, opts Options) (*Result, error) {
 type Selection struct {
 	Program  *dsl.Program
 	Coverage float64
-	// PrunedPrograms counts candidates the semantic verifier rejected.
+	// PrunedPrograms counts candidates rejected because analysis.Findings
+	// reported an error-severity diagnostic.
 	PrunedPrograms int
 	// DedupedPrograms counts candidates skipped before coverage scoring
 	// because an earlier candidate had the same canonical semantic form.
@@ -262,7 +262,7 @@ type candidate struct {
 // across opts.Workers workers: each candidate is screened for local
 // non-triviality, filled through the shared statement cache (identical
 // GIVEN…ON… holes are concretized once across DAGs, §7), gated by the
-// semantic verifier, and canonicalized (internal/dsl/analysis). At the
+// diagnostic passes, and canonicalized (both internal/dsl/analysis). At the
 // barrier candidates whose canonical semantic form already appeared are
 // dropped — distinct DAGs frequently fill to equivalent programs once
 // unsupported statements fall away — and only the surviving
@@ -289,11 +289,11 @@ func SelectProgram(rel *dataset.Relation, dags []*graph.DAG, data stats.Data, op
 				sk = pruneNonLNT(dctx, sk, data, opts.Alpha, lnt)
 			}
 			prog := FillProgramCtx(dctx, rel, sk, fill, cache)
-			// Static verification gate: a candidate whose fill is degenerate
+			// Static analysis gate: a candidate whose fill is degenerate
 			// (contradictory branches, dead statements, out-of-domain
 			// literals) would silently weaken the runtime guardrail, so it
 			// is pruned before it can win coverage scoring.
-			if fs := verify.Program(prog, rel); verify.HasErrors(fs) {
+			if analysis.HasErrors(analysis.Findings(prog, rel)) {
 				dsp.Bool("pruned", true).End()
 				return candidate{pruned: true}, nil
 			}
